@@ -105,13 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--sim-backend",
-        choices=["vectorized", "compiled", "reference"],
+        choices=["vectorized", "reference"],
         default=None,
         help="simulation kernel for the sim/adaptive/faults experiments "
-        "(default: vectorized; all produce identical results for the "
-        "same seed — 'compiled' routes the cycle loop through jitted "
-        "kernels when numba is importable and falls back to the NumPy "
-        "twins otherwise, 'reference' runs the per-packet loop)",
+        "(default: vectorized; both produce identical results for the "
+        "same seed — 'reference' runs the per-packet loop)",
     )
     run_p.add_argument(
         "--seeds",
@@ -120,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="sim/faults/rotor/topo3d experiments: average each "
         "saturation probe over an ensemble of N consecutive seeds "
-        "starting at --seed (majority stability verdict; the batched "
-        "backends run the whole ensemble per kernel launch)",
+        "starting at --seed (majority stability verdict; the vectorized "
+        "backend runs the whole ensemble per kernel launch)",
     )
     run_p.add_argument(
         "--fault-schedule",

@@ -51,9 +51,9 @@ def run(
     """Compare analytic and empirical saturation on a k-ary 2-cube.
 
     The default radix is small because the simulator is packet-exact;
-    the analytic model is what scales.  All backends bracket through
+    the analytic model is what scales.  Both backends bracket through
     identical stability verdicts, so the reported brackets match across
-    ``--sim-backend`` choices (the batched backends just run each
+    ``--sim-backend`` choices (the vectorized backend just runs each
     refinement round as one replica launch).  ``seeds`` (CLI
     ``--seeds``) averages each probe over an ensemble of that many
     consecutive seeds starting at ``seed``; ``fault_schedule`` (CLI

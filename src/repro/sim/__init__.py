@@ -30,8 +30,6 @@ from repro.sim.vectorized import (
     VectorizedSimulator,
     replica_grid,
     simulate_replicas,
-    simulate_vectorized,
-    sweep_vectorized,
 )
 from repro.sim.adaptive import (
     adaptive_expected_locality,
@@ -59,8 +57,6 @@ __all__ = [
     "SimulationResult",
     "simulate",
     "simulate_replicas",
-    "simulate_vectorized",
-    "sweep_vectorized",
     "Replica",
     "replica_grid",
     "VectorizedSimulator",

@@ -21,11 +21,8 @@ import numpy as np
 from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND
 from repro.routing.base import ObliviousRouting
-from repro.sim.network_sim import _check_backend, simulate
+from repro.sim.network_sim import _check_backend
 from repro.sim.vectorized import Replica, replica_grid, simulate_replicas
-
-#: Backends that run a whole replica batch in one kernel launch.
-BATCHED_BACKENDS = ("vectorized", "compiled")
 
 #: Interior probe rates per bracket-refinement launch.  Each launch
 #: shrinks a bracket by ``probes + 1``×, so 3 probes quarter the bracket
@@ -59,10 +56,10 @@ def latency_load_curve(
 ):
     """Simulate a sweep of offered loads (the classic latency/load plot).
 
-    On the batched backends the whole sweep runs as one replica-batched
+    On the vectorized backend the whole sweep runs as one replica-batched
     kernel call — every (rate, seed) replica advances in the same array
     operations, so path-table setup and per-cycle costs amortize across
-    the curve.  All backends return identical results for the same
+    the curve.  Both backends return identical results for the same
     replica tuples.
 
     ``seeds`` adds a replica axis: every rate runs once per seed and the
@@ -251,38 +248,27 @@ def _probe_verdicts(
 ) -> list[bool]:
     """Majority stability verdict per ``(rate, fault, link)`` probe.
 
-    All probes × all ensemble seeds run as one replica batch on the
-    batched backends and as individual ``simulate`` calls on the
-    reference — the verdicts (and therefore every bracket built from
-    them) are identical either way.  Ensemble ties count as unstable:
-    the bracket should not report a rate as sustained when half the
-    seeds diverged.
+    All probes × all ensemble seeds go to :func:`simulate_replicas` as
+    one batch — one kernel launch on ``vectorized``, individual
+    ``simulate`` calls on ``reference`` — and the verdicts (and
+    therefore every bracket built from them) are identical either way.
+    Ensemble ties count as unstable: the bracket should not report a
+    rate as sustained when half the seeds diverged.
     """
     replicas = [
         Replica(rate, s, fault_schedule, link_schedule)
         for rate, fault_schedule, link_schedule in probes
         for s in ensemble
     ]
-    if backend in BATCHED_BACKENDS:
-        results = simulate_replicas(
-            algorithm,
-            traffic,
-            replicas,
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-            backend=backend,
-        )
-    else:
-        results = [
-            simulate(
-                algorithm,
-                traffic,
-                rep.to_config(cycles, warmup, queue_capacity),
-                backend=backend,
-            )
-            for rep in replicas
-        ]
+    results = simulate_replicas(
+        algorithm,
+        traffic,
+        replicas,
+        cycles=cycles,
+        warmup=warmup,
+        queue_capacity=queue_capacity,
+        backend=backend,
+    )
     width = len(ensemble)
     return [
         2 * sum(r.stable for r in results[i * width : (i + 1) * width]) > width
@@ -314,7 +300,7 @@ def saturation_throughput_batch(
     Every refinement round pools the pending probe rates of *all*
     unfinished cases, crossed with the seed ensemble, into a single
     replica batch — one compiled path table and one kernel launch per
-    round on the batched backends; sequential reference runs otherwise.
+    round on the vectorized backend; sequential reference runs otherwise.
     Probe verdicts are pure functions of the replica tuples, so the
     returned brackets are backend-independent.
 
@@ -397,8 +383,8 @@ def saturation_throughput(
     :class:`SaturationEstimate` for the degenerate all-stable /
     all-unstable cases).
 
-    All backends refine through identical stability verdicts.  The
-    batched ones compile their path tables once and reuse them across
+    Both backends refine through identical stability verdicts.  The
+    vectorized one compiles its path tables once and reuses them across
     every probe of the bracket, running each refinement round — several
     interior rates × the seed ensemble — as a single kernel launch; the
     obs trace for one call therefore carries exactly one ``sim.compile``

@@ -36,13 +36,10 @@ from repro.traffic.doubly_stochastic import validate_doubly_stochastic
 
 #: Simulation kernels selectable on the sim entry points (and via the
 #: ``--sim-backend`` CLI flag).  ``reference`` is the per-packet loop in
-#: this module; ``vectorized`` is the struct-of-arrays kernel in
-#: :mod:`repro.sim.vectorized`, differentially tested to reproduce the
-#: reference's packet counts exactly; ``compiled`` is the same kernel
-#: with its per-cycle hot loops routed through :mod:`repro.sim.kernel`
-#: (numba-jitted when importable, silently falling back to the NumPy
-#: twins otherwise — identical counts either way).
-BACKENDS = ("reference", "vectorized", "compiled")
+#: this module — the oracle; ``vectorized`` is the replica-batched
+#: struct-of-arrays kernel in :mod:`repro.sim.vectorized`, differentially
+#: tested to reproduce the reference's packet counts exactly.
+BACKENDS = ("reference", "vectorized")
 
 #: Actions a ``link_schedule`` entry may carry.  ``"down"`` parks a
 #: channel — it serves nothing but keeps its queue and accepts new
@@ -146,6 +143,29 @@ def validate_channel_events(
             )
 
 
+def validate_run_length(
+    cycles: int, warmup: int, queue_capacity: int | None
+) -> None:
+    """Reject run lengths and capacities no simulation can honour.
+
+    A negative ``warmup`` would stretch the measurement window past the
+    run (understating ``accepted_rate``), and a ``queue_capacity`` below
+    one would drop every packet.  :class:`SimulationConfig` and
+    :func:`repro.sim.simulate_replicas` both call this, so every backend
+    and entry point rejects the same inputs with the same text.
+    """
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if warmup >= cycles:
+        raise ValueError("warmup must leave measurement cycles")
+    if queue_capacity is not None and queue_capacity < 1:
+        raise ValueError(
+            f"queue_capacity must be None or >= 1, got {queue_capacity}"
+        )
+
+
 def service_budgets(bandwidth: np.ndarray, cycle: int) -> np.ndarray:
     """Per-cycle integer service budget for (possibly fractional) bandwidths.
 
@@ -175,6 +195,8 @@ class SimulationConfig:
 
     ``warmup`` cycles are excluded from latency/throughput statistics;
     ``queue_capacity`` of ``None`` means unbounded (the paper's model).
+    ``cycles >= 1``, ``0 <= warmup < cycles`` and a capacity of at least
+    one packet are enforced (see :func:`validate_run_length`).
 
     ``fault_schedule`` kills channels mid-run: each ``(cycle, channel)``
     entry marks ``channel`` dead at the *start* of ``cycle``.  Packets
@@ -207,8 +229,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0.0 <= self.injection_rate <= 1.0:
             raise ValueError("injection_rate must be in [0, 1]")
-        if self.warmup >= self.cycles:
-            raise ValueError("warmup must leave measurement cycles")
+        validate_run_length(self.cycles, self.warmup, self.queue_capacity)
         object.__setattr__(
             self, "fault_schedule", normalize_fault_schedule(self.fault_schedule)
         )
@@ -286,43 +307,65 @@ def simulate(
     :class:`SimulationResult` schema and agree exactly on every packet
     count for the same seed.  Each run is one ``sim.run`` trace span
     carrying the measured cycles/deliveries/queue-peak/latency
-    attributes (vectorized runs add ``backend="vectorized"``).
+    attributes; a vectorized run is a one-replica
+    :func:`repro.sim.simulate_replicas` batch, so its ``sim.run`` sits
+    under a ``sim.batch`` span and adds ``backend="vectorized"``.
     """
     _check_backend(backend)
-    if backend in ("vectorized", "compiled"):
-        from repro.sim.vectorized import simulate_vectorized
+    if backend == "vectorized":
+        from repro.sim.vectorized import Replica, simulate_replicas
 
-        return simulate_vectorized(
-            algorithm, traffic, config, compiled=backend == "compiled"
+        (result,) = simulate_replicas(
+            algorithm,
+            traffic,
+            [Replica.from_config(config)],
+            cycles=config.cycles,
+            warmup=config.warmup,
+            queue_capacity=config.queue_capacity,
+            backend=backend,
         )
-    with obs.span(
-        "sim.run",
-        rate=float(config.injection_rate),
-        cycles=int(config.cycles),
-        seed=int(config.seed),
-    ) as sp:
+        return result
+    with obs.span("sim.run") as sp:
         t0 = time.perf_counter()
         result = _simulate(algorithm, traffic, config)
         elapsed = time.perf_counter() - t0
         sp.set(
-            delivered=result.delivered,
-            dropped=result.dropped,
-            lost=result.lost,
-            accepted_rate=result.accepted_rate,
-            backlog=result.backlog,
-            queue_peak=result.queue_peak,
-            stable=result.stable,
-        )
-        if np.isfinite(result.mean_latency):  # NaN is not valid JSON
-            sp.set(
-                mean_latency=result.mean_latency,
-                p99_latency=result.p99_latency,
+            **_span_attrs(
+                config.injection_rate, config.cycles, config.seed, result
             )
-    _record_sim_metrics(result, config, elapsed, backend="reference")
+        )
+    _record_sim_metrics(result, config.cycles, elapsed, backend="reference")
     return result
 
 
-def _record_sim_metrics(result, config, elapsed: float, backend: str) -> None:
+def _span_attrs(
+    rate: float, cycles: int, seed: int, result: SimulationResult
+) -> dict:
+    """``sim.run`` span attributes, one schema for every backend (the
+    batched kernel adds only ``backend``)."""
+    attrs = dict(
+        rate=float(rate),
+        cycles=int(cycles),
+        seed=int(seed),
+        delivered=result.delivered,
+        dropped=result.dropped,
+        lost=result.lost,
+        accepted_rate=result.accepted_rate,
+        backlog=result.backlog,
+        queue_peak=result.queue_peak,
+        stable=result.stable,
+    )
+    if np.isfinite(result.mean_latency):  # NaN is not valid JSON
+        attrs.update(
+            mean_latency=result.mean_latency,
+            p99_latency=result.p99_latency,
+        )
+    return attrs
+
+
+def _record_sim_metrics(
+    result: SimulationResult, cycles: int, elapsed: float, backend: str
+) -> None:
     """Registry metrics for one simulator run (both backends call this)."""
     obs.metric_count("sim.runs", backend=backend)
     obs.metric_count("sim.delivered", result.delivered, backend=backend)
@@ -332,7 +375,7 @@ def _record_sim_metrics(result, config, elapsed: float, backend: str) -> None:
     if elapsed > 0:
         obs.metric_gauge(
             "sim.cycles_per_second",
-            int(config.cycles) / elapsed,
+            int(cycles) / elapsed,
             volatile=True,
             backend=backend,
         )

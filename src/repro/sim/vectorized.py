@@ -1,4 +1,4 @@
-"""Vectorized struct-of-arrays simulation kernel.
+"""Replica-batched struct-of-arrays simulation kernel.
 
 This backend replays the *exact* stochastic process of the reference
 per-packet loop in :mod:`repro.sim.network_sim` — same seeded RNG
@@ -31,9 +31,12 @@ and ``tests/sim/test_replicas.py``):
   channel, FIFO) order.  The kernel encodes this with a monotone
   enqueue-sequence number and one sort per cycle on the combined
   ``(queue, sequence)`` key — the tie-breaking contract documented in
-  DESIGN.md ("Simulator backends").  The per-cycle rankings live in
-  :mod:`repro.sim.kernel` behind the ``compiled`` seam (numba-jitted
-  when importable, NumPy otherwise, identical counts either way).
+  DESIGN.md ("Simulator backends").
+
+:func:`simulate_replicas` is the one batched entry point: the
+``vectorized`` backend of :func:`repro.sim.simulate` is a one-replica
+batch, and the latency curves and saturation probers in
+:mod:`repro.sim.measure` launch whole replica grids through it.
 
 Given the same replica tuple the batched and individual runs therefore
 agree *exactly* on every packet count, and bit-for-bit on the latency
@@ -53,18 +56,18 @@ from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND, DISTRIBUTION_ATOL
 from repro.routing.base import ObliviousRouting
 from repro.routing.paths import path_channels
-from repro.sim.kernel import SEQ_BITS as _SEQ_BITS
-from repro.sim.kernel import arrival_keep, pop_selection
 from repro.sim.network_sim import (
     SimulationConfig,
     SimulationResult,
     _check_backend,
     _record_sim_metrics,
+    _span_attrs,
     normalize_fault_schedule,
     normalize_link_schedule,
     service_budgets,
     simulate,
     validate_channel_events,
+    validate_run_length,
 )
 from repro.sim.stats import latency_stats
 from repro.traffic.doubly_stochastic import validate_doubly_stochastic
@@ -75,6 +78,51 @@ log = obs.get_logger(__name__)
 #: int64 block: one row per packet, compacted every cycle).
 _REP, _CHAN, _SEQ, _POS, _END, _ITIME, _PLEN = range(7)
 _NUM_COLS = 7
+
+#: Bits reserved for the enqueue sequence in the combined sort key; the
+#: sequence counter is monotone per run and bounded by total enqueues,
+#: far below 2**40.
+_SEQ_BITS = 40
+
+
+def _queue_rank(q_sorted: np.ndarray) -> np.ndarray:
+    """Position of each packet within its queue, given non-empty queue
+    keys sorted so that each queue's packets are contiguous."""
+    head = np.empty(q_sorted.shape[0], dtype=bool)
+    head[0] = True
+    head[1:] = q_sorted[1:] != q_sorted[:-1]
+    idx = np.arange(q_sorted.shape[0])
+    return idx - idx[head][np.cumsum(head) - 1]
+
+
+def _pop_selection(
+    qkey: np.ndarray, seq: np.ndarray, budgets: np.ndarray
+) -> np.ndarray:
+    """Indices of the packets popped this cycle.
+
+    One sort on the combined ``(queue, sequence)`` key, then each
+    queue's first ``budgets[q]`` packets in FIFO order — the reference
+    arbitration contract (channel-index order across queues, FIFO
+    within).  Emission order is the sorted order, which callers rely on
+    for deterministic downstream processing.
+    """
+    order = np.argsort((qkey << _SEQ_BITS) | seq)
+    q_sorted = qkey[order]
+    return order[_queue_rank(q_sorted) < budgets[q_sorted]]
+
+
+def _arrival_keep(qkey: np.ndarray, occ: np.ndarray, cap: int) -> np.ndarray:
+    """Boolean mask of forwarded packets that fit their next queue.
+
+    Arrival order per queue decides who fills the remaining
+    ``cap - occ[q]`` slots, exactly as the reference's sequential
+    appends do — hence the stable sort on the queue key alone.
+    """
+    order = np.argsort(qkey, kind="stable")
+    q_sorted = qkey[order]
+    keep = np.empty(qkey.shape[0], dtype=bool)
+    keep[order] = _queue_rank(q_sorted) < (cap - occ[q_sorted])
+    return keep
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,8 +202,8 @@ class VectorizedSimulator:
     per-path channel itineraries (flattened into one array) and the
     choice CDF (replicating the exact float normalization the reference
     feeds to ``Generator.choice``).  The tables are reused across every
-    :meth:`run`/:meth:`run_replicas` call, which is what amortizes setup
-    over a rate sweep, a seed ensemble, or a saturation bisection.
+    :meth:`run_replicas` call, which is what amortizes setup over a rate
+    sweep, a seed ensemble, or a saturation bisection.
     """
 
     def __init__(self, algorithm: ObliviousRouting, traffic: np.ndarray):
@@ -359,7 +407,6 @@ class VectorizedSimulator:
         cycles: int = 2000,
         warmup: int = 500,
         queue_capacity: int | None = None,
-        compiled: bool = False,
     ) -> list[SimulationResult]:
         """Run every replica in one batched cycle loop.
 
@@ -375,14 +422,9 @@ class VectorizedSimulator:
         per-channel service on and off losslessly (the rotor semantics —
         down channels hold their queues).  Both are RNG-free, so the
         draw-for-draw contract with individual runs is untouched.
-
-        ``compiled=True`` routes the per-cycle rankings through the
-        jitted kernels in :mod:`repro.sim.kernel` (NumPy fallback when
-        numba is missing; identical counts either way).
         """
         replicas = _as_replicas(replicas)
-        if warmup >= cycles:
-            raise ValueError("warmup must leave measurement cycles")
+        validate_run_length(cycles, warmup, queue_capacity)
         num_reps = len(replicas)
         if num_reps == 0:
             return []
@@ -526,9 +568,7 @@ class VectorizedSimulator:
             else:
                 bw_cycle = bw_by_queue
             qkey = packets[:, _REP] * c + packets[:, _CHAN]
-            popped = pop_selection(
-                qkey, packets[:, _SEQ], bw_cycle, compiled=compiled
-            )
+            popped = _pop_selection(qkey, packets[:, _SEQ], bw_cycle)
             if popped.size == 0:
                 continue
             occ -= np.bincount(qkey[popped], minlength=nq)
@@ -577,9 +617,7 @@ class VectorizedSimulator:
                     # Arrival order per queue decides who fills the
                     # remaining capacity, exactly as the reference's
                     # sequential appends do.
-                    keep = arrival_keep(
-                        m_qkey, occ, cap, compiled=compiled
-                    )
+                    keep = _arrival_keep(m_qkey, occ, cap)
                     drop_idx = movers[~keep]
                     if drop_idx.size:
                         dropped += np.bincount(
@@ -635,48 +673,6 @@ class VectorizedSimulator:
             )
         return results
 
-    def sweep(
-        self,
-        rates,
-        cycles: int = 2000,
-        warmup: int = 500,
-        seed: int = 0,
-        queue_capacity: int | None = None,
-        fault_schedule: tuple[tuple[int, int], ...] = (),
-        link_schedule: tuple[tuple[int, int, str], ...] = (),
-        compiled: bool = False,
-    ) -> list[SimulationResult]:
-        """Run every offered rate in one batched cycle loop.
-
-        A rate sweep is the special case of :meth:`run_replicas` where
-        every replica shares one seed and one pair of schedules.
-        """
-        return self.run_replicas(
-            [
-                Replica(float(r), seed, fault_schedule, link_schedule)
-                for r in rates
-            ],
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-            compiled=compiled,
-        )
-
-    def run(
-        self,
-        config: SimulationConfig = SimulationConfig(),
-        compiled: bool = False,
-    ) -> SimulationResult:
-        """Run one rate point (a single-replica :meth:`run_replicas`)."""
-        (result,) = self.run_replicas(
-            [Replica.from_config(config)],
-            cycles=config.cycles,
-            warmup=config.warmup,
-            queue_capacity=config.queue_capacity,
-            compiled=compiled,
-        )
-        return result
-
 
 # ----------------------------------------------------------------------
 # Compiled-simulator cache and entry points
@@ -705,30 +701,8 @@ def compiled_simulator(
     return sim
 
 
-def _span_attrs(result: SimulationResult) -> dict:
-    attrs = dict(
-        delivered=result.delivered,
-        dropped=result.dropped,
-        lost=result.lost,
-        accepted_rate=result.accepted_rate,
-        backlog=result.backlog,
-        queue_peak=result.queue_peak,
-        stable=result.stable,
-    )
-    if np.isfinite(result.mean_latency):  # NaN is not valid JSON
-        attrs.update(
-            mean_latency=result.mean_latency,
-            p99_latency=result.p99_latency,
-        )
-    return attrs
-
-
-def _backend_label(compiled: bool) -> str:
-    return "compiled" if compiled else "vectorized"
-
-
 def _emit_replica_spans(
-    replicas, results, elapsed: float, cycles: int, warmup: int, backend: str
+    replicas, results, elapsed: float, cycles: int, backend: str
 ) -> None:
     """Per-replica ``sim.run`` spans and registry metrics for one batch.
 
@@ -739,25 +713,10 @@ def _emit_replica_spans(
     tracer = obs.get_tracer()
     share = elapsed / len(replicas) if replicas else 0.0
     for rep, result in zip(replicas, results):
-        attrs = dict(
-            rate=float(rep.injection_rate),
-            cycles=int(cycles),
-            seed=int(rep.seed),
-            backend=backend,
-        )
-        attrs.update(_span_attrs(result))
+        attrs = _span_attrs(rep.injection_rate, cycles, rep.seed, result)
+        attrs["backend"] = backend
         tracer.emit_span("sim.run", dur=share, attrs=attrs)
-        _record_sim_metrics(
-            result,
-            SimulationConfig(
-                injection_rate=rep.injection_rate,
-                cycles=cycles,
-                warmup=warmup,
-                seed=rep.seed,
-            ),
-            share,
-            backend=backend,
-        )
+        _record_sim_metrics(result, cycles, share, backend=backend)
 
 
 def simulate_replicas(
@@ -769,18 +728,21 @@ def simulate_replicas(
     queue_capacity: int | None = None,
     backend: str = DEFAULT_SIM_BACKEND,
 ) -> list[SimulationResult]:
-    """Run an arbitrary replica batch — one kernel launch on the batched
-    backends.
+    """Run an arbitrary replica batch — one kernel launch on the
+    ``vectorized`` backend.
 
     ``replicas`` is a sequence of :class:`Replica` (or raw tuples fed to
     its constructor); results come back in the same order.  The
-    ``vectorized`` and ``compiled`` backends share one compiled path
-    table and one cycle loop for the whole batch and emit a ``sim.batch``
-    span plus replica-count-labeled metrics; ``reference`` runs each
-    replica as an individual per-packet ``simulate`` call — the
-    differential oracle for the batched kernel.
+    ``vectorized`` backend shares one compiled path table and one cycle
+    loop for the whole batch and emits a ``sim.batch`` span (with one
+    ``sim.run`` span per replica) plus replica-count-labeled metrics;
+    ``reference`` runs each replica as an individual per-packet
+    ``simulate`` call — the differential oracle for the batched kernel.
+    Run lengths are validated up front, so an empty batch rejects the
+    same inputs on both backends.
     """
     _check_backend(backend)
+    validate_run_length(cycles, warmup, queue_capacity)
     replicas = _as_replicas(replicas)
     if backend == "reference":
         return [
@@ -792,12 +754,11 @@ def simulate_replicas(
             )
             for rep in replicas
         ]
-    label = backend
     with obs.span(
         "sim.batch",
         replicas=len(replicas),
         cycles=int(cycles),
-        backend=label,
+        backend=backend,
     ):
         start = time.perf_counter()
         results = compiled_simulator(algorithm, traffic).run_replicas(
@@ -805,83 +766,9 @@ def simulate_replicas(
             cycles=cycles,
             warmup=warmup,
             queue_capacity=queue_capacity,
-            compiled=backend == "compiled",
         )
         elapsed = time.perf_counter() - start
-        _emit_replica_spans(replicas, results, elapsed, cycles, warmup, label)
-    obs.metric_count("sim.batches", backend=label, replicas=len(replicas))
-    obs.metric_count("sim.replicas", len(replicas), backend=label)
-    return results
-
-
-def simulate_vectorized(
-    algorithm: ObliviousRouting,
-    traffic: np.ndarray,
-    config: SimulationConfig = SimulationConfig(),
-    compiled: bool = False,
-) -> SimulationResult:
-    """Vectorized-backend counterpart of :func:`repro.sim.simulate`.
-
-    Emits the same ``sim.run`` span (plus ``backend=...``) so traces and
-    ``obs-report`` rows keep one schema across backends.
-    """
-    label = _backend_label(compiled)
-    with obs.span(
-        "sim.run",
-        rate=float(config.injection_rate),
-        cycles=int(config.cycles),
-        seed=int(config.seed),
-        backend=label,
-    ) as sp:
-        t0 = time.perf_counter()
-        result = compiled_simulator(algorithm, traffic).run(
-            config, compiled=compiled
-        )
-        elapsed = time.perf_counter() - t0
-        sp.set(**_span_attrs(result))
-    _record_sim_metrics(result, config, elapsed, backend=label)
-    return result
-
-
-def sweep_vectorized(
-    algorithm: ObliviousRouting,
-    traffic: np.ndarray,
-    rates,
-    cycles: int = 2000,
-    warmup: int = 500,
-    seed: int = 0,
-    queue_capacity: int | None = None,
-    fault_schedule: tuple[tuple[int, int], ...] = (),
-    link_schedule: tuple[tuple[int, int, str], ...] = (),
-    compiled: bool = False,
-) -> list[SimulationResult]:
-    """Batched offered-rate sweep (one compiled kernel, all rates).
-
-    The rate axis is the degenerate replica batch where every replica
-    shares one seed and one pair of schedules; see
-    :func:`simulate_replicas` for the general (rate × seed × fault)
-    grid.  Per-rate ``sim.run`` spans are emitted with the sweep's wall
-    time split evenly across rates.
-    """
-    replicas = [
-        Replica(float(r), seed, fault_schedule, link_schedule) for r in rates
-    ]
-    label = _backend_label(compiled)
-    with obs.span(
-        "sim.sweep",
-        points=len(replicas),
-        cycles=int(cycles),
-        seed=int(seed),
-        backend=label,
-    ):
-        start = time.perf_counter()
-        results = compiled_simulator(algorithm, traffic).run_replicas(
-            replicas,
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-            compiled=compiled,
-        )
-        elapsed = time.perf_counter() - start
-        _emit_replica_spans(replicas, results, elapsed, cycles, warmup, label)
+        _emit_replica_spans(replicas, results, elapsed, cycles, backend)
+    obs.metric_count("sim.batches", backend=backend, replicas=len(replicas))
+    obs.metric_count("sim.replicas", len(replicas), backend=backend)
     return results

@@ -8,10 +8,16 @@ every entry point to :data:`repro.constants.DEFAULT_SIM_BACKEND`.
 
 import inspect
 
+import pytest
+
+from repro.cli import main
 from repro.constants import DEFAULT_SIM_BACKEND
 from repro.experiments import adaptive_compare, faults, sim_validation
-from repro.sim import simulate
+from repro.routing import DimensionOrderRouting
+from repro.sim import BACKENDS, SimulationConfig, simulate, simulate_replicas
 from repro.sim.measure import latency_load_curve, saturation_throughput
+from repro.topology import Torus
+from repro.traffic import uniform
 
 
 def test_constant_is_a_valid_backend():
@@ -37,3 +43,22 @@ def test_cli_defers_to_the_constant():
 
     args = build_parser().parse_args(["run", "sim", "--k", "4"])
     assert args.sim_backend is None
+
+
+def test_removed_compiled_backend_rejected(capsys):
+    # ``compiled`` is not a backend: every entry point names the two
+    # that exist rather than silently aliasing one of them.
+    assert BACKENDS == ("reference", "vectorized")
+    torus = Torus(3, 2)
+    alg, traffic = DimensionOrderRouting(torus), uniform(torus.num_nodes)
+    expected = r"\('reference', 'vectorized'\)"
+    with pytest.raises(ValueError, match=expected):
+        simulate(alg, traffic, SimulationConfig(), backend="compiled")
+    with pytest.raises(ValueError, match=expected):
+        simulate_replicas(alg, traffic, [(0.3, 0)], backend="compiled")
+    with pytest.raises(ValueError, match=expected):
+        saturation_throughput(alg, traffic, backend="compiled")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "sim", "--k", "3", "--sim-backend", "compiled"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err

@@ -12,8 +12,7 @@ rates below and above saturation.
 
 import pytest
 
-from repro.sim import SimulationConfig, simulate, simulate_vectorized
-from repro.sim.vectorized import sweep_vectorized
+from repro.sim import SimulationConfig, replica_grid, simulate, simulate_replicas
 from tests.sim.conftest import (
     SIM_ALGORITHMS,
     assert_counts_equal,
@@ -35,7 +34,7 @@ def _run_both(alg, traffic, rate, seed, cycles=400, warmup=150, capacity=None):
         queue_capacity=capacity,
     )
     ref = simulate(alg, traffic, config, backend="reference")
-    vec = simulate_vectorized(alg, traffic, config)
+    vec = simulate(alg, traffic, config, backend="vectorized")
     return ref, vec
 
 
@@ -84,8 +83,8 @@ class TestBatchedSweep:
         # standalone run does.
         _, alg, traffic = make_sim_case(4, "IVAL", "uniform")
         rates = [0.1, 0.4, 0.7, 1.0]
-        batched = sweep_vectorized(
-            alg, traffic, rates, cycles=400, warmup=150, seed=11
+        batched = simulate_replicas(
+            alg, traffic, replica_grid(rates, (11,)), cycles=400, warmup=150
         )
         for rate, got in zip(rates, batched):
             ref = simulate(
@@ -101,11 +100,11 @@ class TestBatchedSweep:
 
     def test_sweep_order_does_not_matter(self, make_sim_case):
         _, alg, traffic = make_sim_case(3, "RLB", "tornado")
-        fwd = sweep_vectorized(
-            alg, traffic, [0.2, 0.8], cycles=300, warmup=100, seed=5
+        fwd = simulate_replicas(
+            alg, traffic, replica_grid([0.2, 0.8], (5,)), cycles=300, warmup=100
         )
-        rev = sweep_vectorized(
-            alg, traffic, [0.8, 0.2], cycles=300, warmup=100, seed=5
+        rev = simulate_replicas(
+            alg, traffic, replica_grid([0.8, 0.2], (5,)), cycles=300, warmup=100
         )
         assert fwd[0] == rev[1]
         assert fwd[1] == rev[0]

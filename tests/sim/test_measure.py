@@ -35,7 +35,7 @@ class TestBisection:
         )
         assert 0.0 <= est.lower <= est.upper <= 1.0
 
-    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("backend", ["reference"])
     def test_backends_bisect_identically(self, dor4, tornado4, backend):
         kwargs = dict(iterations=3, cycles=1000, warmup=300, seed=9)
         vec = saturation_throughput(dor4, tornado4, backend="vectorized", **kwargs)

@@ -4,9 +4,7 @@ The batched kernel's correctness spine: a batch of mixed
 ``(injection_rate, seed, fault_schedule, link_schedule)`` replicas must
 be draw-for-draw identical to running each replica as an individual
 ``simulate`` call — every packet count exactly, latency within float
-summation tolerance.  The ``compiled`` backend routes the per-cycle
-rankings through :mod:`repro.sim.kernel` (NumPy twins when numba is
-missing) and must match bit-for-bit too.
+summation tolerance.
 """
 
 import pytest
@@ -15,8 +13,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.sim import Replica, SimulationConfig, replica_grid, simulate, simulate_replicas
-from repro.sim.kernel import HAVE_NUMBA, compiled_available
-from repro.sim.vectorized import simulate_vectorized
 from tests.sim.conftest import assert_counts_equal, assert_latency_close
 
 #: A deliberately heterogeneous batch: rates below/above saturation,
@@ -72,7 +68,7 @@ class TestReplica:
 
 
 class TestBatchedDifferential:
-    @pytest.mark.parametrize("backend", ["vectorized", "compiled"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_mixed_batch_matches_individual_reference_runs(
         self, make_sim_case, backend
     ):
@@ -139,22 +135,38 @@ class TestBatchedDifferential:
         ]
         assert len(runs) == 4
 
-
-class TestCompiledBackend:
-    def test_compiled_flag_reflects_numba(self):
-        # The container has no numba; either way the flag and the probe
-        # must agree, and the seam below must be count-identical.
-        assert compiled_available() == HAVE_NUMBA
-
-    def test_simulate_dispatches_compiled(self, make_sim_case):
-        _, alg, traffic = make_sim_case(4, "IVAL", "tornado")
+    def test_single_vectorized_run_span_contract(self, make_sim_case):
+        # ``simulate(backend="vectorized")`` is a one-replica batch: one
+        # ``sim.batch`` and one ``sim.run``, whose attributes are the
+        # reference ``sim.run`` schema plus ``backend`` (one builder).
+        _, alg, traffic = make_sim_case(3, "DOR", "uniform")
         config = SimulationConfig(
-            cycles=300, warmup=100, injection_rate=0.9, seed=13,
-            queue_capacity=2,
+            cycles=200, warmup=60, injection_rate=0.3, seed=4
         )
-        via_simulate = simulate(alg, traffic, config, backend="compiled")
-        vec = simulate_vectorized(alg, traffic, config)
-        assert via_simulate == vec
+        tracer = obs.get_tracer()
+
+        def spans(backend):
+            mark = tracer.mark()
+            simulate(alg, traffic, config, backend=backend)
+            events = tracer.events_since(mark)
+            return {
+                name: [
+                    e for e in events
+                    if e["ev"] == "span" and e["name"] == name
+                ]
+                for name in ("sim.batch", "sim.run")
+            }
+
+        vec = spans("vectorized")
+        (batch,) = vec["sim.batch"]
+        assert batch["attrs"]["replicas"] == 1
+        (vec_run,) = vec["sim.run"]
+        assert vec_run["attrs"]["backend"] == "vectorized"
+        ref = spans("reference")
+        assert ref["sim.batch"] == []
+        (ref_run,) = ref["sim.run"]
+        assert "mean_latency" in ref_run["attrs"]
+        assert set(vec_run["attrs"]) == set(ref_run["attrs"]) | {"backend"}
 
 
 class TestReplicaProperty:
@@ -170,9 +182,8 @@ class TestReplicaProperty:
             min_size=1,
             max_size=5,
         ),
-        backend=st.sampled_from(["vectorized", "compiled"]),
     )
-    def test_batch_equals_individual_runs(self, make_sim_case, data, backend):
+    def test_batch_equals_individual_runs(self, make_sim_case, data):
         _, alg, traffic = make_sim_case(3, "DOR", "uniform")
         reps = [
             Replica(
@@ -187,10 +198,10 @@ class TestReplicaProperty:
             )
             for rate, seed, faulty, flaky in data
         ]
-        batched = simulate_replicas(
-            alg, traffic, reps, cycles=150, warmup=50, backend=backend
-        )
+        batched = simulate_replicas(alg, traffic, reps, cycles=150, warmup=50)
         for rep, got in zip(reps, batched):
-            solo = simulate_vectorized(alg, traffic, rep.to_config(150, 50))
+            solo = simulate(
+                alg, traffic, rep.to_config(150, 50), backend="vectorized"
+            )
             assert_counts_equal(solo, got)
             assert_latency_close(solo, got)

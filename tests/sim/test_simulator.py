@@ -10,6 +10,7 @@ from repro.sim import (
     latency_load_curve,
     saturation_throughput,
     simulate,
+    simulate_replicas,
 )
 from repro.topology import Torus
 from repro.traffic import neighbor, tornado, uniform
@@ -23,6 +24,48 @@ class TestConfig:
     def test_warmup_validation(self):
         with pytest.raises(ValueError, match="warmup"):
             SimulationConfig(cycles=100, warmup=100)
+
+
+#: Run lengths and capacities no run can honour, with the error each
+#: must raise.  Unchecked, a negative warmup stretches the measurement
+#: window past the run (``cycles=50, warmup=-5`` measures 55 cycles),
+#: and a capacity below one drops every packet.
+BAD_RUN_LENGTHS = [
+    (dict(cycles=50, warmup=-5), "warmup must be >= 0"),
+    (dict(cycles=0, warmup=-1), "cycles must be >= 1"),
+    (dict(cycles=100, warmup=100), "warmup must leave measurement cycles"),
+    (dict(cycles=100, warmup=10, queue_capacity=0), "queue_capacity"),
+    (dict(cycles=100, warmup=10, queue_capacity=-2), "queue_capacity"),
+]
+
+
+class TestRunLengthValidation:
+    @pytest.mark.parametrize("kwargs, message", BAD_RUN_LENGTHS)
+    def test_config_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("kwargs, message", BAD_RUN_LENGTHS)
+    @pytest.mark.parametrize("replicas", [[], [(0.3, 1)]])
+    def test_replica_batch_rejects(
+        self, dor4, uniform4, backend, kwargs, message, replicas
+    ):
+        # Empty batches too: both backends reject before looking at
+        # the replicas.
+        with pytest.raises(ValueError, match=message):
+            simulate_replicas(
+                dor4, uniform4, replicas, backend=backend, **kwargs
+            )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_smallest_valid_run(self, dor4, uniform4, backend):
+        config = SimulationConfig(
+            cycles=1, warmup=0, injection_rate=1.0, queue_capacity=1
+        )
+        res = simulate(dor4, uniform4, config, backend=backend)
+        assert res.measurement_cycles == 1
+        assert res.injected > 0
 
 
 class TestBasicRuns:
