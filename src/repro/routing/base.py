@@ -11,6 +11,10 @@ Algorithms on tori are *translation-invariant*: the distribution for
 ``(s, d)`` is the translate of the distribution for ``(0, d - s)``.
 Such algorithms only describe canonical-source paths, and their flows
 are an ``(N, C)`` table — the O(CN) representation of Section 4.
+``TableRouting`` and DOR (and through DOR the two phases of VAL/IVAL)
+build paths exactly this way: a cached canonical distribution,
+translated with the plain-list rows of
+:meth:`CayleyTopology.translation_rows`.
 """
 
 from __future__ import annotations
@@ -210,10 +214,8 @@ class TableRouting(ObliviousRouting):
         if src == dst:
             return [((src,), 1.0)]
         torus: Torus = self._network  # type: ignore[assignment]
-        t = int(torus.sub_nodes(dst, src))
+        add, offset = torus.translation_rows(src)
+        canonical = self._table[offset[dst]]
         if src == 0:
-            return list(self._table[t])
-        return [
-            (tuple(int(torus.add_nodes(v, src)) for v in path), w)
-            for path, w in self._table[t]
-        ]
+            return list(canonical)
+        return [(tuple(map(add.__getitem__, p)), w) for p, w in canonical]

@@ -64,18 +64,48 @@ class DimensionOrderRouting(ObliviousRouting):
         self.order = tuple(order) if order is not None else tuple(range(torus.n))
         if sorted(self.order) != list(range(torus.n)):
             raise ValueError(f"order {self.order} is not a permutation of dims")
+        self._canonical: dict[int, list[tuple[Path, float]]] = {}
 
     def path_distribution(self, src: int, dst: int) -> list[tuple[Path, float]]:
+        return self.translated_distribution(src, dst)
+
+    def translated_distribution(
+        self, src: int, dst: int
+    ) -> list[tuple[Path, float]]:
+        """:meth:`path_distribution` as a plain translation of the cached
+        canonical distribution for the offset ``dst - src``.
+
+        VAL and IVAL call this directly for their two DOR phases: those
+        ``2N`` lookups per commodity are steps of VAL's own distribution,
+        not commodities in their own right.
+        """
         if src == dst:
             return [((src,), 1.0)]
         torus: Torus = self.network  # type: ignore[assignment]
-        delta = torus.ring_delta(src, dst)
-        out = []
-        for dirs, prob in minimal_direction_choices(torus, src, dst):
-            segments = [
-                (dim, dirs[dim], torus.hops(int(delta[dim]), dirs[dim]))
-                for dim in self.order
-                if dim in dirs
-            ]
-            out.append((build_path(torus, src, segments), prob))
-        return out
+        add, offset = torus.translation_rows(src)
+        canonical = self._canonical_distribution(offset[dst])
+        if src == 0:
+            return list(canonical)
+        return [(tuple(map(add.__getitem__, p)), w) for p, w in canonical]
+
+    def _canonical_distribution(self, t: int) -> list[tuple[Path, float]]:
+        """The distribution for ``(0, t)``, built once per offset.
+
+        The direction choices, their order and their probabilities depend
+        only on the offset, so every other source's distribution is this
+        one translated node by node.
+        """
+        dist = self._canonical.get(t)
+        if dist is None:
+            torus: Torus = self.network  # type: ignore[assignment]
+            delta = torus.ring_delta(0, t)
+            dist = []
+            for dirs, prob in minimal_direction_choices(torus, 0, t):
+                segments = [
+                    (dim, dirs[dim], torus.hops(int(delta[dim]), dirs[dim]))
+                    for dim in self.order
+                    if dim in dirs
+                ]
+                dist.append((build_path(torus, 0, segments), prob))
+            self._canonical[t] = dist
+        return dist

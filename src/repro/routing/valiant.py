@@ -58,10 +58,12 @@ class Valiant(ObliviousRouting):
         if src == dst:
             return [((src,), 1.0)]
         n = self.network.num_nodes
+        phase1 = self._phase1.translated_distribution
+        phase2 = self._phase2.translated_distribution
         acc: dict[Path, float] = {}
         for mid in range(n):
-            for p1, q1 in self._phase1.path_distribution(src, mid):
-                for p2, q2 in self._phase2.path_distribution(mid, dst):
+            for p1, q1 in phase1(src, mid):
+                for p2, q2 in phase2(mid, dst):
                     path = pathmod.concatenate(p1, p2)
                     if self._remove_loops:
                         path = pathmod.remove_loops(path)

@@ -20,11 +20,14 @@ and ``tests/sim/test_replicas.py``):
   node (ascending id) one uniform for the destination and, iff the
   pair's path distribution has more than one entry, one uniform for the
   path choice.  The kernel reproduces this interleaved stream without a
-  per-packet Python loop by over-drawing a scratch block from a saved
-  bit-generator state, decoding destinations with a vectorized fixpoint
-  (draw positions depend only on *predecessor* flags, so the iteration
-  converges once the flags stabilize), and then rewinding the generator
-  and advancing it by the exact number of consumed draws.
+  per-packet Python loop: each replica owns a pre-drawn row of its own
+  uniform stream and a cursor into it.  One indexed read of the rows
+  gives every replica's Bernoulli mask; destinations are then decoded
+  with a vectorized fixpoint (draw positions depend only on
+  *predecessor* flags, so the iteration converges once the flags
+  stabilize), and each cursor advances by exactly the draws consumed.
+  A row is refilled from its generator whenever less than one cycle's
+  worst case (``3n`` draws) remains.
 * **Arbitration** is deterministic: channels service their queues in
   channel-index order, FIFO within a queue, up to ``bandwidth`` packets
   per cycle; forwarded packets join their next queue in (forwarding
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import weakref
 
 import numpy as np
 
@@ -78,6 +80,10 @@ log = obs.get_logger(__name__)
 #: int64 block: one row per packet, compacted every cycle).
 _REP, _CHAN, _SEQ, _POS, _END, _ITIME, _PLEN = range(7)
 _NUM_COLS = 7
+
+#: Cycles of worst-case draws (3 per node) each replica's pre-drawn
+#: uniform row holds between refills.
+_STREAM_CYCLES = 8
 
 #: Bits reserved for the enqueue sequence in the combined sort key; the
 #: sequence counter is monotone per run and bounded by total enqueues,
@@ -250,6 +256,11 @@ class VectorizedSimulator:
                 paths=int(self._path_len.size),
                 channel_entries=int(self._chan_flat.size),
             )
+        # Per source, the draws an injector most likely consumes: 2 when
+        # most of its traffic goes to multi-path pairs.  Only a starting
+        # guess for the injection decode, which corrects it exactly.
+        multi = self._npaths.reshape(self.num_nodes, -1) > 1
+        self._draws_guess = 1 + ((self.traffic * multi).sum(axis=1) > 0.5)
 
     # ------------------------------------------------------------------
     # Path-table compilation
@@ -325,78 +336,60 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------
     # Injection decoding (exact RNG-stream replay)
     # ------------------------------------------------------------------
-    def _decode_injections(self, rngs, injector_lists, cycle: int):
-        """Consume the destination/path draws for this cycle's injectors.
+    def _decode_injections(self, stream, base, reps, srcs):
+        """Decode the destination/path draws of this cycle's injectors.
 
-        ``injector_lists[i]`` holds the injecting node ids (ascending)
-        of active replica ``i``.  Returns per-packet arrays (replica
-        index, source, destination, global path id) covering every
-        decoded draw, including self-addressed ones (``dst == src``),
-        which the caller filters out exactly like the reference's
-        ``continue``.
+        ``stream`` is the flattened ``(R, W)`` pre-drawn uniform buffer
+        and ``base[r]`` the flat index of replica ``r``'s next unread
+        draw.  ``reps``/``srcs`` list the injectors replica-major with
+        ascending source — the reference's draw order.  Returns per-
+        injector destinations, global path ids (``-1`` for self-
+        addressed draws, which the caller filters out exactly like the
+        reference's ``continue``) and draw counts (1 or 2).
         """
-        # Replicas with no injector this cycle consume no draws; drop
-        # them so segment bookkeeping never sees zero-length segments.
-        active = [i for i, a in enumerate(injector_lists) if len(a)]
-        if not active:
-            return (np.zeros(0, np.int64),) * 4
-        act_rngs = [rngs[i] for i in active]
-        act_lists = [injector_lists[i] for i in active]
-        m_list = np.asarray([len(a) for a in act_lists], dtype=np.int64)
-        m_total = int(m_list.sum())
-        srcs = np.concatenate(act_lists)
-        seg_of = np.repeat(np.arange(len(m_list)), m_list)
-        seg_id = np.asarray(active, dtype=np.int64)[seg_of]
-        seg_start = np.concatenate(([0], np.cumsum(m_list)[:-1]))
-        # Over-draw 2 uniforms per injector (the per-injector maximum)
-        # from a saved state, decode, then rewind and advance exactly.
-        states = [rng.bit_generator.state for rng in act_rngs]
-        u_blocks = [rng.random(2 * m) for rng, m in zip(act_rngs, m_list)]
-        u_all = np.concatenate(u_blocks)
-        u_off = np.concatenate(([0], np.cumsum(2 * m_list)[:-1]))
+        m_total = srcs.size
+        if m_total == 0:
+            return (np.zeros(0, np.int64),) * 3
+        # Index of each injector's replica segment start (reps is sorted).
+        seg_first = np.searchsorted(reps, reps)
+        rep_base = base[reps]
 
         n = self.num_nodes
         cum_rows = self._cum_traffic[srcs]
-        g = np.ones(m_total, dtype=np.int64)
-        dsts = np.zeros(m_total, dtype=np.int64)
-        p_local = np.zeros(m_total, dtype=np.int64)
+        # g[j] = draws injector j consumes: 1 for the destination, plus 1
+        # for the path choice iff its pair has several paths.  A draw's
+        # position depends only on its predecessors' g, so iterating
+        # until g is stable decodes the interleaved stream exactly from
+        # any starting guess: each pass fixes at least one more injector
+        # per replica.  Self-pairs have one (zero-hop) path, so they
+        # never draw twice.
+        g = self._draws_guess[srcs]
         for _ in range(m_total + 1):
             p_excl = np.cumsum(g) - g
-            p_local = p_excl - p_excl[seg_start][seg_of]
-            u1 = u_all[u_off[seg_of] + p_local]
-            dsts = np.minimum(
-                (cum_rows < u1[:, None]).sum(axis=1), n - 1
-            )
-            self._ensure_pairs(srcs, dsts)
+            at = rep_base + p_excl - p_excl[seg_first]
+            u1 = stream[at]
+            dsts = np.minimum((cum_rows < u1[:, None]).sum(axis=1), n - 1)
             keys = srcs * n + dsts
-            g_new = 1 + ((dsts != srcs) & (self._npaths[keys] > 1))
+            npaths = self._npaths[keys]
+            if (npaths < 0).any():
+                self._ensure_pairs(srcs, dsts)
+                npaths = self._npaths[keys]
+            g_new = 1 + (npaths > 1)
             if np.array_equal(g_new, g):
                 break
             g = g_new
         else:  # pragma: no cover - the fixpoint provably converges
             raise AssertionError("injection decode did not converge")
 
-        # Path choice for multi-path pairs (one more uniform each).
-        keys = srcs * n + dsts
+        # Path choice for multi-path pairs (the draw after the destination).
         pidx = np.zeros(m_total, dtype=np.int64)
         multi = g == 2
         if multi.any():
-            u2 = u_all[(u_off[seg_of] + p_local + 1)[multi]]
-            pidx[multi] = (
-                self._cdf[keys[multi]] <= u2[:, None]
-            ).sum(axis=1)
+            u2 = stream[at[multi] + 1]
+            pidx[multi] = (self._cdf[keys[multi]] <= u2[:, None]).sum(axis=1)
 
-        # Rewind each generator and consume exactly what the reference
-        # would have: the next cycle's draws stay stream-aligned.
-        consumed = np.add.reduceat(g, seg_start)
-        for rng, state, used in zip(act_rngs, states, consumed):
-            rng.bit_generator.state = state
-            rng.random(int(used))
-
-        gpid = np.where(
-            dsts != srcs, self._pair_base[keys] + pidx, -1
-        )
-        return seg_id, srcs, dsts, gpid
+        gpid = np.where(dsts != srcs, self._pair_base[keys] + pidx, -1)
+        return dsts, gpid, g
 
     # ------------------------------------------------------------------
     # Batched cycle loop
@@ -434,7 +427,17 @@ class VectorizedSimulator:
         nq = num_reps * c
         cap = queue_capacity
         rngs = [np.random.default_rng(rep.seed) for rep in replicas]
-        rate_arr = np.asarray([rep.injection_rate for rep in replicas])
+        rate_col = np.asarray([rep.injection_rate for rep in replicas])[:, None]
+        # Each row holds the next uniforms of that replica's own stream;
+        # ``cursor`` is the replica's first unread draw.  A cycle consumes
+        # at most 3n draws (the mask, then at most two per injector), so a
+        # row with fewer left is refilled from its generator first.
+        width = _STREAM_CYCLES * 3 * n
+        stream = np.stack([rng.random(width) for rng in rngs])
+        flat_stream = stream.reshape(-1)
+        row_base = np.arange(num_reps, dtype=np.int64) * width
+        cursor = np.zeros(num_reps, dtype=np.int64)
+        node_ids = np.arange(n)
 
         # Schedules index the *flattened* (replica, channel) queue space,
         # so one pair of masks carries every replica's channel state.
@@ -496,16 +499,21 @@ class VectorizedSimulator:
                 )
 
             # -- phase 1: injection -------------------------------------
-            masks = [rng.random(n) for rng in rngs]
-            injector_lists = [
-                np.flatnonzero(u < r) for u, r in zip(masks, rate_arr)
-            ]
-            seg_id, srcs, dsts, gpid = self._decode_injections(
-                rngs, injector_lists, cycle
+            for r in np.flatnonzero(cursor > width - 3 * n):
+                left = width - cursor[r]
+                stream[r, :left] = stream[r, cursor[r]:]
+                stream[r, left:] = rngs[r].random(int(cursor[r]))
+                cursor[r] = 0
+            mask_at = (row_base + cursor)[:, None] + node_ids
+            reps, srcs = np.nonzero(flat_stream[mask_at] < rate_col)
+            cursor += n
+            dsts, gpid, draws = self._decode_injections(
+                flat_stream, row_base + cursor, reps, srcs
             )
+            np.add.at(cursor, reps, draws)
             sel = dsts != srcs
             if sel.any():
-                p_rep = seg_id[sel]
+                p_rep = reps[sel]
                 p_gpid = gpid[sel]
                 injected += np.bincount(p_rep, minlength=num_reps)
                 pos = self._path_start[p_gpid]
@@ -677,11 +685,10 @@ class VectorizedSimulator:
 # ----------------------------------------------------------------------
 # Compiled-simulator cache and entry points
 # ----------------------------------------------------------------------
-#: algorithm -> {traffic digest -> VectorizedSimulator}; keyed weakly so
-#: compiled tables die with their algorithm object.
-_compiled: "weakref.WeakKeyDictionary[ObliviousRouting, dict]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Attribute holding an algorithm's ``{(shape, traffic bytes): simulator}``
+#: map.  Living on the algorithm, the compiled tables die with it (the
+#: simulator's back-reference only forms a collectable cycle).
+_COMPILED_ATTR = "_compiled_simulators"
 
 
 def compiled_simulator(
@@ -690,14 +697,17 @@ def compiled_simulator(
     """Get (or build) the compiled simulator for ``(algorithm, traffic)``.
 
     The cache is what lets ``saturation_throughput`` reuse one set of
-    path tables across every bisection probe.
+    path tables across every bisection probe.  It is keyed by the
+    traffic matrix's shape and bytes, so equal matrices share tables and
+    no two different matrices can.
     """
-    per_alg = _compiled.setdefault(algorithm, {})
-    digest = hash(np.asarray(traffic, dtype=np.float64).tobytes())
-    sim = per_alg.get(digest)
+    per_alg = vars(algorithm).setdefault(_COMPILED_ATTR, {})
+    matrix = np.asarray(traffic, dtype=np.float64)
+    key = (matrix.shape, matrix.tobytes())
+    sim = per_alg.get(key)
     if sim is None:
         sim = VectorizedSimulator(algorithm, traffic)
-        per_alg[digest] = sim
+        per_alg[key] = sim
     return sim
 
 

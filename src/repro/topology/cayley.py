@@ -16,6 +16,7 @@ hypercubes unchanged.
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,29 @@ class CayleyTopology(Network, abc.ABC):
     @abc.abstractmethod
     def sub_nodes(self, a, b):
         """Group difference ``a - b`` (vectorized over node ids)."""
+
+    def translation_rows(self, src: int) -> tuple[list[int], list[int]]:
+        """Plain-list rows ``(add, offset)`` with ``add[v] = v + src`` and
+        ``offset[v] = v - src``.
+
+        Translating a canonical-source path to source ``src`` is then one
+        list lookup per node, with plain ``int`` results.  Rows are built
+        lazily per source and kept on this instance; callers share them
+        and must not modify them.
+        """
+        rows = self._translation_rows.get(src)
+        if rows is None:
+            ids = np.arange(self.num_nodes)
+            rows = (
+                self.add_nodes(ids, src).tolist(),
+                self.sub_nodes(ids, src).tolist(),
+            )
+            self._translation_rows[src] = rows
+        return rows
+
+    @cached_property
+    def _translation_rows(self) -> dict[int, tuple[list[int], list[int]]]:
+        return {}
 
     # ------------------------------------------------------------------
     # Derived channel structure

@@ -7,12 +7,20 @@ be draw-for-draw identical to running each replica as an individual
 summation tolerance.
 """
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.routing import IVAL
 from repro.sim import Replica, SimulationConfig, replica_grid, simulate, simulate_replicas
+from repro.sim import vectorized
+from repro.topology import Torus
+from repro.traffic import tornado, uniform
 from tests.sim.conftest import assert_counts_equal, assert_latency_close
 
 #: A deliberately heterogeneous batch: rates below/above saturation,
@@ -167,6 +175,96 @@ class TestBatchedDifferential:
         (ref_run,) = ref["sim.run"]
         assert "mean_latency" in ref_run["attrs"]
         assert set(vec_run["attrs"]) == set(ref_run["attrs"]) | {"backend"}
+
+
+class TestPreDrawnStreams:
+    """Each replica reads its own pre-drawn uniform row through a cursor
+    and refills it from its generator when fewer than one cycle's worst
+    case (3n draws) remain."""
+
+    def test_split_draws_equal_one_block(self):
+        # The refill contract: drawing a, then b uniforms is the same
+        # stream as drawing a + b at once (and a scalar draw is one).
+        for seed in (0, 7, 2**31 + 5):
+            rng = np.random.default_rng(seed)
+            parts = [rng.random(37), rng.random(101), [rng.random()]]
+            whole = np.random.default_rng(seed).random(139)
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_refills_are_draw_for_draw(self, make_sim_case):
+        # Rates from 0.05 to 1.0 consume between n and 3n draws a cycle,
+        # so the replicas refill at different cycles; 240 cycles span at
+        # least a handful of refills even for the slowest consumer.
+        torus, alg, traffic = make_sim_case(3, "IVAL", "uniform")
+        cycles, warmup = 240, 60
+        n = torus.num_nodes
+        width = vectorized._STREAM_CYCLES * 3 * n
+        assert cycles * n >= 5 * width
+        reps = [
+            Replica(0.05, seed=1),
+            Replica(0.3, seed=2),
+            Replica(0.55, seed=3, fault_schedule=((40, 3), (130, 11))),
+            Replica(0.8, seed=4,
+                    link_schedule=((25, 5, "down"), (90, 5, "up"))),
+            Replica(1.0, seed=5),
+        ]
+        batched = simulate_replicas(
+            alg, traffic, reps, cycles=cycles, warmup=warmup
+        )
+        for rep, got in zip(reps, batched):
+            ref = simulate(
+                alg, traffic, rep.to_config(cycles, warmup),
+                backend="reference",
+            )
+            assert_counts_equal(ref, got)
+            assert_latency_close(ref, got)
+        assert batched[2].lost > 0
+
+
+    def test_boundary_draw_compiles_off_support_pair(self):
+        # A uniform of exactly 0.0 selects destination 0 even where the
+        # traffic row gives it no weight (the reference's searchsorted
+        # does the same); the decode compiles that pair on the spot.
+        torus = Torus(4, 2)
+        sim = vectorized.VectorizedSimulator(IVAL(torus), tornado(torus))
+        src = 5
+        key = src * torus.num_nodes
+        assert sim._npaths[key] < 0
+        stream = np.full(8, 0.5)
+        stream[0] = 0.0
+        dsts, gpid, draws = sim._decode_injections(
+            stream, np.zeros(1, np.int64), np.zeros(1, np.int64),
+            np.array([src]),
+        )
+        assert dsts.tolist() == [0] and draws.tolist() == [2]
+        assert sim._npaths[key] > 1
+        first = sim._pair_base[key]
+        assert first <= gpid[0] < first + sim._npaths[key]
+
+
+class TestCompiledCache:
+    def test_tables_die_with_their_algorithm(self):
+        torus = Torus(3, 2)
+        alg = IVAL(torus)
+        simulate_replicas(
+            alg, uniform(torus.num_nodes), [Replica(0.4, 1)],
+            cycles=30, warmup=10,
+        )
+        assert vectorized.compiled_simulator(alg, uniform(torus.num_nodes))
+        ref = weakref.ref(alg)
+        del alg
+        gc.collect()
+        assert ref() is None
+
+    def test_keyed_by_traffic_contents(self):
+        torus = Torus(3, 2)
+        alg = IVAL(torus)
+        uni = uniform(torus.num_nodes)
+        sim = vectorized.compiled_simulator(alg, uni)
+        assert vectorized.compiled_simulator(alg, uni.copy()) is sim
+        other = vectorized.compiled_simulator(alg, tornado(torus))
+        assert other is not sim
+        assert np.array_equal(other.traffic, tornado(torus))
 
 
 class TestReplicaProperty:
